@@ -204,7 +204,8 @@ impl Client {
         self.call(Request::op("stats"))
     }
 
-    /// Trigger a repository reload / ground-cache invalidation.
+    /// Flush the ground cache (the repository is untouched); the
+    /// response carries the number of entries dropped.
     pub fn invalidate(&mut self) -> Result<Response, String> {
         self.call(Request::op("invalidate"))
     }

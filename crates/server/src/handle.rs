@@ -40,10 +40,11 @@ pub fn handle(state: &ServerState, session: &mut Session, request: &Request) -> 
         "stats" => stats(state, request),
         "update" => update(state, request),
         "invalidate" => {
-            let (revision, dropped) = state.invalidate();
+            // A flush: the repository is untouched, and a solve still in
+            // flight may re-insert its entry because the content behind
+            // its key has not changed.
             let mut r = Response::ok_for(request);
-            r.repo_revision = revision;
-            r.invalidated = dropped as u64;
+            r.invalidated = state.ground_cache().clear() as u64;
             r
         }
         "shutdown" => Response::ok_for(request),
@@ -254,7 +255,6 @@ fn update(state: &ServerState, request: &Request) -> Response {
     match state.update(&request.package, &request.version) {
         Ok(outcome) => {
             let mut r = Response::ok_for(request);
-            r.repo_revision = outcome.revision;
             r.segments_changed = outcome.segments_changed as u64;
             r.invalidated = outcome.report.invalidated as u64;
             r.retained = outcome.report.retained as u64;
@@ -295,8 +295,6 @@ fn stats(state: &ServerState, request: &Request) -> Response {
     r.delta_updates = cache.delta_updates;
     r.segments_invalidated = cache.segments_invalidated;
     r.segments_retained = cache.segments_retained;
-    r.salvaged_translations = cache.salvaged_translations;
-    r.repo_revision = state.repo_snapshot().revision();
     r.shed = telemetry.shed;
     r.timeouts = telemetry.timeouts;
     r.budget_exhausted = telemetry.budget_exhausted;
@@ -411,7 +409,7 @@ mod tests {
 
         let resp = handle(&state, &mut session, &Request::concretize("app"));
         assert!(resp.ok);
-        assert!(!resp.ground_cache_hit, "fresh revision misses, then repopulates");
+        assert!(!resp.ground_cache_hit, "a flushed cache misses, then repopulates");
         assert_eq!(state.ground_cache().len(), 1);
     }
 
@@ -437,7 +435,6 @@ mod tests {
         assert_eq!(resp.segments_changed, 1, "only zlib's segment moved");
         assert_eq!(resp.invalidated, 1, "only app's entry references zlib");
         assert_eq!(resp.retained, 1, "lua's entry must survive");
-        assert_eq!(state.repo_snapshot().revision(), resp.repo_revision);
         assert_eq!(
             state
                 .repo_snapshot()

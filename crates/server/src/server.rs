@@ -8,13 +8,15 @@
 //! state, so solves on different connections run fully in parallel and
 //! share every index.
 //!
-//! Invalidation is *graceful by construction*: `invalidate` swaps in a
-//! re-stamped repository snapshot and drops stale ground-cache entries,
-//! but solves already in flight keep their own `Arc` snapshot of the old
-//! repository and their own handle to the prepared program, so they
-//! finish — bit-identical to what they would have produced — while new
-//! requests see the new revision. The ground cache's revision floor
-//! rejects stale stragglers trying to repopulate dropped entries.
+//! Repository changes are *graceful by construction*: `update` swaps in
+//! a new repository snapshot and drops exactly the ground-cache entries
+//! whose content-addressed segments moved, but solves already in flight
+//! keep their own `Arc` snapshot of the old repository and their own
+//! handle to the prepared program, so they finish — bit-identical to
+//! what they would have produced — while new requests see the new
+//! snapshot. The ground cache's retirement table rejects stale
+//! stragglers trying to repopulate dropped entries. `invalidate` is a
+//! plain flush of the ground cache; the repository is untouched.
 //!
 //! Overload and shutdown are handled here too, as [`OpsConfig`] knobs:
 //!
@@ -44,7 +46,7 @@ use spackle_buildcache::CacheSource;
 use spackle_core::{repo_delta, Concretizer, ConcretizerConfig, DeltaReport, GroundCache};
 use spackle_repo::Repository;
 use spackle_spec::{Sym, Version};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -90,8 +92,6 @@ impl Default for OpsConfig {
 /// What one applied repository delta did (the `update` request).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateOutcome {
-    /// The repository revision after republication.
-    pub revision: u64,
     /// Segment fingerprints the delta moved (the mutated package plus
     /// any packages whose provider ranks shifted).
     pub segments_changed: usize,
@@ -186,7 +186,7 @@ impl ServerState {
     }
 
     /// A request-scoped concretizer over the *current* snapshot: holds
-    /// its own `Arc`s, so a concurrent `invalidate` never disturbs it.
+    /// its own `Arc`s, so a concurrent `update` never disturbs it.
     pub fn concretizer(&self, config: ConcretizerConfig) -> Concretizer {
         let mut conc = Concretizer::shared(self.repo_snapshot())
             .with_config(config)
@@ -195,24 +195,6 @@ impl ServerState {
             conc = conc.with_reusable(cache);
         }
         conc
-    }
-
-    /// Reload: re-stamp the repository snapshot with a fresh revision
-    /// and drop every ground-cache entry keyed below it. Returns
-    /// `(new_revision, entries_dropped)`. In-flight solves keep their
-    /// old snapshot and finish untouched; the cache's revision floor
-    /// keeps them from re-inserting stale programs afterwards.
-    pub fn invalidate(&self) -> (u64, usize) {
-        let new_revision = {
-            let mut slot = self.repo.write();
-            let mut fresh = (**slot).clone();
-            fresh.bump_revision();
-            let rev = fresh.revision();
-            *slot = Arc::new(fresh);
-            rev
-        };
-        let dropped = self.ground_cache.invalidate_below(new_revision);
-        (new_revision, dropped)
     }
 
     /// Delta update: declare `version` on existing package `package`,
@@ -226,7 +208,7 @@ impl ServerState {
     pub fn update(&self, package: &str, version: &str) -> Result<UpdateOutcome, String> {
         let name = Sym::intern(package);
         let ver = Version::parse(version).map_err(|e| format!("bad version {version:?}: {e}"))?;
-        let (revision, delta) = {
+        let delta = {
             let mut slot = self.repo.write();
             let Some(def) = slot.get(name) else {
                 return Err(format!("no such package: {package}"));
@@ -239,14 +221,12 @@ impl ServerState {
             let mut fresh = (**slot).clone();
             fresh.upsert(def);
             let delta = repo_delta(&slot, &fresh);
-            let revision = fresh.revision();
             *slot = Arc::new(fresh);
-            (revision, delta)
+            delta
         };
         let report = self.ground_cache.apply_delta(&delta);
         self.telemetry.record_update();
         Ok(UpdateOutcome {
-            revision,
             segments_changed: delta.len(),
             report,
         })
@@ -408,9 +388,15 @@ fn should_shed(state: &ServerState, request: &Request) -> bool {
 ///
 /// Reads poll on a short timeout so an idle worker notices a drain and
 /// exits instead of blocking shutdown forever. A timeout mid-line keeps
-/// the partial bytes (`read_line` appends, and the buffer is cleared
+/// the partial bytes (`read_until` appends, and the buffer is cleared
 /// only after a complete line is processed), so slow writers never get
 /// their requests truncated or spliced together.
+///
+/// The line buffer is bounded: each read takes at most enough bytes to
+/// pass [`MAX_LINE_BYTES`] by one. Past that, the rest of the line is
+/// read and discarded up to its newline, which is then answered with a
+/// structured error, so a client that never sends `\n` cannot grow the
+/// daemon's memory.
 fn serve_connection(stream: TcpStream, addr: SocketAddr, state: &ServerState) {
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -419,10 +405,14 @@ fn serve_connection(stream: TcpStream, addr: SocketAddr, state: &ServerState) {
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
     let mut session = Session::new();
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
+    // The current line has passed MAX_LINE_BYTES; its bytes are being
+    // discarded up to the next newline.
+    let mut overlong = false;
 
     loop {
-        match reader.read_line(&mut line) {
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break, // client hung up
             Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -434,21 +424,21 @@ fn serve_connection(stream: TcpStream, addr: SocketAddr, state: &ServerState) {
             }
             Err(_) => break,
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        overlong |= line.len() > MAX_LINE_BYTES;
+        if overlong && line.last() != Some(&b'\n') {
+            // Still inside an over-long line: drop what was read.
+            line.clear();
+            continue;
+        }
+        let text = std::str::from_utf8(&line).map(str::trim);
+        if !overlong && text == Ok("") {
             line.clear();
             continue;
         }
 
-        let _guard = state.telemetry().begin_request();
-        let response = if line.len() > MAX_LINE_BYTES {
-            state.telemetry().record_failure();
-            Response::err_for(
-                &Request::default(),
-                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-            )
-        } else {
-            match Request::from_line(trimmed) {
+        let in_flight = state.telemetry().begin_request();
+        let response = match text {
+            Ok(trimmed) if !overlong => match Request::from_line(trimmed) {
                 Ok(request) if should_shed(state, &request) => {
                     state.telemetry().record_shed();
                     let mut r = Response::err_for(
@@ -467,9 +457,23 @@ fn serve_connection(stream: TcpStream, addr: SocketAddr, state: &ServerState) {
                     state.telemetry().record_failure();
                     Response::err_for(&Request::default(), format!("bad request: {e}"))
                 }
+            },
+            _ => {
+                state.telemetry().record_failure();
+                let error = if overlong {
+                    format!("request line exceeds {MAX_LINE_BYTES} bytes")
+                } else {
+                    "bad request: line is not UTF-8".to_string()
+                };
+                Response::err_for(&Request::default(), error)
             }
         };
+        // Stop counting the request before its reply is written, so a
+        // client holding the reply never finds it still in flight (and
+        // its next request shed for it).
+        drop(in_flight);
         line.clear();
+        overlong = false;
 
         let is_shutdown = response.ok && response.op == "shutdown";
         if writer

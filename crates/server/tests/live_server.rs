@@ -8,8 +8,10 @@ use spackle_buildcache::{BuildCache, CacheSource, FaultConfig, FaultInjector};
 use spackle_core::Concretizer;
 use spackle_repo::{PackageBuilder, Repository};
 use spackle_server::server::{OpsConfig, ServerState};
-use spackle_server::{serve, Client, Request, RetryConfig};
+use spackle_server::{serve, Client, Request, Response, RetryConfig, MAX_LINE_BYTES};
 use spackle_spec::parse_spec;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -145,7 +147,12 @@ fn concurrent_clients_share_one_warm_cache() {
     assert!(stats1.max_solve_ms <= stats1.total_solve_ms);
 
     // Invalidate while solves are in flight: solver threads keep going
-    // through reloads; nothing may fail and nothing may diverge.
+    // through flushes; nothing may fail and nothing may diverge. The
+    // first flush lands before the storm, so the storm is certain to
+    // miss; the other two race the solves.
+    let inv = control.invalidate().unwrap();
+    assert!(inv.ok, "{}", inv.error);
+    assert_eq!(inv.invalidated, GOALS.len() as u64, "the flush drops every entry");
     std::thread::scope(|s| {
         for t in 0..CLIENT_THREADS {
             let baseline = &baseline;
@@ -165,7 +172,7 @@ fn concurrent_clients_share_one_warm_cache() {
         }
         let control = &mut control;
         s.spawn(move || {
-            for _ in 0..3 {
+            for _ in 0..2 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
                 let inv = control.invalidate().unwrap();
                 assert!(inv.ok, "{}", inv.error);
@@ -182,8 +189,11 @@ fn concurrent_clients_share_one_warm_cache() {
         "every solve is exactly one counted lookup"
     );
     assert_eq!(stats2.failures, 0, "no solve failed during invalidation");
-    assert!(stats2.invalidated >= 1, "reloads dropped warm entries");
-    assert!(stats2.repo_revision > stats1.repo_revision);
+    assert!(stats2.invalidated >= 1, "flushes dropped warm entries");
+    assert!(
+        stats2.ground_misses > stats1.ground_misses,
+        "solves after a flush re-prepare"
+    );
     // Everything between the two stats calls is accounted for: the
     // storm solves, 3 invalidates, and the stats request itself.
     assert_eq!(stats2.requests, stats1.requests + storm_solves + 3 + 1);
@@ -343,5 +353,59 @@ fn session_config_is_per_connection() {
     assert!(down.ok);
     drop(a);
     drop(b);
+    server.join().expect("clean shutdown");
+}
+
+/// A request line longer than `MAX_LINE_BYTES` is read through a bounded
+/// buffer and discarded up to its newline: the client gets exactly one
+/// structured error, the same connection keeps serving, and other
+/// connections are served while the long line is still arriving.
+#[test]
+fn overlong_line_is_discarded_and_answered_once() {
+    let state = Arc::new(ServerState::new(test_repo(), Vec::new()));
+    let server = serve(Arc::clone(&state), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+    let mut control = Client::connect(addr).unwrap();
+    let failures_before = control.stats().unwrap().failures;
+
+    // More than 1 MiB with no newline.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let chunk = vec![b'x'; 64 * 1024];
+    for _ in 0..MAX_LINE_BYTES / chunk.len() + 2 {
+        raw.write_all(&chunk).unwrap();
+    }
+
+    // Mid-line on the first connection, a second one is served.
+    let mut other = Client::connect(addr).unwrap();
+    let pong = other.call(Request::op("ping")).unwrap();
+    assert!(pong.ok, "{}", pong.error);
+
+    // End the long line, then send a ping on the same connection.
+    raw.write_all(b"\n").unwrap();
+    raw.write_all(format!("{}\n", Request::op("ping").to_line()).as_bytes())
+        .unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let rejected = Response::from_line(line.trim()).unwrap();
+    assert!(!rejected.ok);
+    assert!(
+        rejected.error.contains(&format!("exceeds {MAX_LINE_BYTES} bytes")),
+        "structured length error, got: {}",
+        rejected.error
+    );
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    let pong = Response::from_line(line.trim()).unwrap();
+    assert!(pong.ok, "{}", pong.error);
+    assert_eq!(pong.op, "ping");
+    assert_eq!(pong.protocol, spackle_server::PROTOCOL_VERSION);
+
+    let failures_after = control.stats().unwrap().failures;
+    assert_eq!(failures_after, failures_before + 1, "exactly one failure counted");
+
+    assert!(control.shutdown().unwrap().ok);
+    drop((control, other, raw, reader));
     server.join().expect("clean shutdown");
 }
